@@ -1,7 +1,7 @@
 //! `cache_warm` — wall time of a fleet family campaign cold vs warm, with
 //! the invariant store synced to worker processes over the wire.
 //!
-//! Three passes over `astree worker --stdio` children, all in `--cache-wire`
+//! Two passes over `astree worker --stdio` children, both in `--cache-wire`
 //! mode — the store directory lives only on the coordinator side and the
 //! workers warm up exclusively through `store_get`/`store_files`/`store_put`
 //! frames (zero shared filesystem):
@@ -12,10 +12,6 @@
 //!    entries pulled over the wire (`store_full_hits`). The stable report
 //!    must be byte-identical to the cold pass, and the wall time at least
 //!    3x faster — full-hit replay skips the fixpoint solve entirely.
-//! 3. **transfer** — *new* members with a channel count the store has
-//!    never seen; full hits miss, but the channel-count-parametric
-//!    portable fingerprints match donors of other sizes and warm the
-//!    widening starts (`seed_hits`).
 //!
 //! ```text
 //! cargo run --release -p astree-bench --bin cache_warm [out.json] [astree-bin]
@@ -31,17 +27,12 @@ use astree_obs::{FleetCounters, Json};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Channel counts of the family campaign proper (passes 1 and 2): large
+/// Channel counts of the family campaign: large
 /// members, so the fixpoint solve dominates process-spawn and wire-sync
 /// overhead and the warm replay advantage is visible in wall time.
 const CHANNELS: [usize; 3] = [8, 12, 16];
-/// Channel count of the transfer pass: absent from the campaign, so only
-/// cross-member portable seeds can warm it.
-const TRANSFER_CHANNELS: [usize; 1] = [20];
 /// Seeds cycled across the campaign channel counts.
 const SEEDS: u64 = 16;
-/// Seeds of the transfer pass (kept small: every member solves, seeded).
-const TRANSFER_SEEDS: u64 = 4;
 
 fn counters_json(c: &FleetCounters) -> Json {
     Json::obj([
@@ -50,7 +41,6 @@ fn counters_json(c: &FleetCounters) -> Json {
         ("store_gets", Json::UInt(c.store_gets)),
         ("store_puts", Json::UInt(c.store_puts)),
         ("loops_seeded", Json::UInt(c.loops_seeded)),
-        ("seed_hits", Json::UInt(c.seed_hits)),
         (
             "per_worker",
             Json::Arr(
@@ -109,9 +99,7 @@ fn main() {
     });
 
     let seeds: Vec<u64> = (1..=SEEDS).collect();
-    let transfer_seeds: Vec<u64> = (1..=TRANSFER_SEEDS).collect();
     let jobs = astree_fleet::generated_jobs(&CHANNELS, &seeds);
-    let transfer_jobs = astree_fleet::generated_jobs(&TRANSFER_CHANNELS, &transfer_seeds);
     let workers = 2usize;
 
     let dir = std::env::temp_dir().join(format!("astree-cache-warm-{}", std::process::id()));
@@ -141,16 +129,6 @@ fn main() {
          cold {cold_wall:.3}s, warm {warm_wall:.3}s)"
     );
 
-    let (transfer, transfer_wall) = pass(&transfer_jobs, &dir, workers, &astree_bin);
-    assert_eq!(
-        transfer.counters.store_full_hits, 0,
-        "transfer members were never analyzed, so full fingerprints miss"
-    );
-    assert!(
-        transfer.counters.seed_hits > 0,
-        "cross-member portable seeds warm the unseen channel count over the wire"
-    );
-
     let doc = Json::obj([
         ("experiment", Json::str("cache_warm")),
         (
@@ -175,18 +153,6 @@ fn main() {
                 ("wall_s", Json::Float(warm_wall)),
                 ("speedup", Json::Float(speedup)),
                 ("fleet", counters_json(&warm.counters)),
-            ]),
-        ),
-        (
-            "transfer",
-            Json::obj([
-                ("members", Json::UInt(transfer_jobs.len() as u64)),
-                (
-                    "channels",
-                    Json::Arr(TRANSFER_CHANNELS.iter().map(|&c| Json::UInt(c as u64)).collect()),
-                ),
-                ("wall_s", Json::Float(transfer_wall)),
-                ("fleet", counters_json(&transfer.counters)),
             ]),
         ),
     ]);

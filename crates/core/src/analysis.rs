@@ -14,8 +14,8 @@ use crate::iterator::{Iter, Mode};
 use crate::packs::Packs;
 use crate::state::AbsState;
 use astree_ir::{
-    channel_tag, func_fingerprints, globals_fingerprint, loop_fingerprints,
-    parametric_fingerprints, program_fingerprint, FuncId, LoopId, Program, StmtId,
+    func_fingerprints, globals_fingerprint, loop_fingerprints, program_fingerprint, FuncId, LoopId,
+    Program, StmtId,
 };
 use astree_memory::{CellLayout, LayoutConfig};
 use astree_obs::{CacheCounters, PmapCounters, PoolCounters, Recorder, NULL};
@@ -64,14 +64,9 @@ pub struct AnalysisStats {
     /// Loops whose invariant was reused from a verified whole-function
     /// cache seed.
     pub loops_replayed: u64,
-    /// Loops seeded from a per-loop or cross-member candidate that passed
-    /// the post-fixpoint acceptance check (edited functions whose loops did
-    /// not change, or another family member's converged invariants).
+    /// Loops seeded from a per-loop candidate that passed the post-fixpoint
+    /// acceptance check (edited functions whose loops did not change).
     pub loops_seeded: u64,
-    /// The subset of [`AnalysisStats::loops_seeded`] whose candidate came
-    /// from *another family member* via the portable (channel-parametric)
-    /// seed store.
-    pub seed_hits: u64,
     /// Loops re-solved during the checking pass because the stored
     /// invariant did not cover the arriving context (nested loops are
     /// re-solved per outer iteration in iteration mode, so the stored
@@ -279,7 +274,6 @@ impl<'a> AnalysisSession<'a> {
             }
             run_counters.misses = 1;
             let fps = func_fingerprints(self.program);
-            let param_fps = parametric_fingerprints(self.program);
             let had_seeds = store.has_seeds(&key);
             for (fi, func) in self.program.funcs.iter().enumerate() {
                 match store.lookup_seeds(&key, fps[fi], &layout, &packs) {
@@ -287,7 +281,7 @@ impl<'a> AnalysisSession<'a> {
                         let loop_ids = loops_in_preorder(func);
                         for (ordinal, st) in stored {
                             if let Some(&lid) = loop_ids.get(ordinal as usize) {
-                                seeds.insert(lid, Seed::Full(st, SeedOrigin::Func));
+                                seeds.insert(lid, Seed { state: st, origin: SeedOrigin::Func });
                             }
                         }
                         report.seeded_functions += 1;
@@ -297,9 +291,7 @@ impl<'a> AnalysisSession<'a> {
                             report.invalidated_functions += 1;
                         }
                         // The function (or a callee) changed. Fall back to
-                        // its loops whose local fingerprint still matches,
-                        // then to another family member's portable seeds for
-                        // anything still cold.
+                        // its loops whose local fingerprint still matches.
                         let loop_ids = loops_in_preorder(func);
                         if loop_ids.is_empty() {
                             continue;
@@ -310,23 +302,7 @@ impl<'a> AnalysisSession<'a> {
                                 continue;
                             };
                             if let Some(st) = store.lookup_loop_seed(&key, lfp, &layout, &packs) {
-                                seeds.insert(lid, Seed::Full(st, SeedOrigin::Loop));
-                            }
-                        }
-                        let tag = channel_tag(&func.name);
-                        if let Some(stored) = store.lookup_portable_seeds(
-                            key.config_fp,
-                            param_fps[fi],
-                            tag,
-                            &layout,
-                            &packs,
-                        ) {
-                            for (ordinal, patch) in stored {
-                                if let Some(&lid) = loop_ids.get(ordinal as usize) {
-                                    seeds
-                                        .entry(lid)
-                                        .or_insert_with(|| Seed::Portable(Arc::new(patch)));
-                                }
+                                seeds.insert(lid, Seed { state: st, origin: SeedOrigin::Loop });
                             }
                         }
                     }
@@ -439,7 +415,6 @@ impl<'a> AnalysisSession<'a> {
             loops_solved: iter.loops_solved,
             loops_replayed: iter.loops_replayed,
             loops_seeded: iter.loops_seeded,
-            seed_hits: iter.seed_hits,
             loops_rechecked: iter.loops_rechecked,
         };
         report.loops_solved_by_function = std::mem::take(&mut iter.solved_by_func);
@@ -448,11 +423,9 @@ impl<'a> AnalysisSession<'a> {
 
         if let (Some(store), Some((key, program_fp, fps, store_before))) = (&self.cache, cache_ctx)
         {
-            let param_fps = parametric_fingerprints(self.program);
             let mut seeds_out: Vec<(u64, Vec<(u32, AbsState)>)> =
                 Vec::with_capacity(self.program.funcs.len());
             let mut loop_seeds_out: Vec<(u64, AbsState)> = Vec::new();
-            let mut portable_out: Vec<(u64, String, Vec<(u32, AbsState)>)> = Vec::new();
             for (fi, func) in self.program.funcs.iter().enumerate() {
                 let loop_ids = loops_in_preorder(func);
                 let mut loops = Vec::new();
@@ -471,10 +444,6 @@ impl<'a> AnalysisSession<'a> {
                         }
                     }
                 }
-                if !loops.is_empty() {
-                    let tag = channel_tag(&func.name).to_string();
-                    portable_out.push((param_fps[fi], tag, loops.clone()));
-                }
                 seeds_out.push((fps[fi], loops));
             }
             store.update(
@@ -487,11 +456,9 @@ impl<'a> AnalysisSession<'a> {
                 &seeds_out,
                 &loop_seeds_out,
             );
-            store.update_portable(key.config_fp, &layout, &packs, &portable_out);
             run_counters.loops_replayed = stats.loops_replayed;
             run_counters.loops_solved = stats.loops_solved;
             run_counters.loops_seeded = stats.loops_seeded;
-            run_counters.seed_hits = stats.seed_hits;
             let io = store.counters().since(&store_before);
             store.absorb_run(&run_counters);
             run_counters.bytes_read += io.bytes_read;

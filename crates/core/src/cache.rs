@@ -5,7 +5,7 @@
 //! the same codebase while tuning the parametrization (Sect. 7), so most runs
 //! re-solve fixpoints that did not change. This module makes warm re-runs
 //! nearly free with a content-addressed, disk-backed [`InvariantStore`]
-//! consulted by the analysis session on two levels:
+//! consulted by the analysis session on three levels:
 //!
 //! - **Whole-program replay.** Entries are keyed by the *exact* program
 //!   fingerprint ([`astree_ir::program_fingerprint`], which covers statement
@@ -26,17 +26,8 @@
 //!   statements plus callee closures) still matches are installed the same
 //!   way, so an edited function never pays a fully cold overshoot for its
 //!   unchanged loops (counted in `stats.loops_seeded`).
-//! - **Portable seeds.** A second, member-independent file per configuration
-//!   (`p-<config>.astc`) stores loop invariants keyed by the
-//!   *channel-parametric* closure fingerprint
-//!   ([`astree_ir::parametric_fingerprints`]) with every cell keyed by its
-//!   canonical *name* ([`astree_ir::canon_ident`]) instead of its id. A
-//!   4-channel family member's converged seeds then warm a 46-channel
-//!   member's solves: the decoded [`StatePatch`] maps names back onto the
-//!   target layout and is applied over the loop's entry state (counted in
-//!   `stats.seed_hits`). Acceptance is the same post-fixpoint check.
 //!
-//! Both levels sit behind three guard fingerprints baked into the cache-file
+//! All levels sit behind three guard fingerprints baked into the cache-file
 //! identity: the cell-layout fingerprint (decoded states name cells by id),
 //! the pack-structure fingerprint (octagon matrices and tree shapes are
 //! indexed by pack), and the analysis-relevant configuration fingerprint
@@ -59,13 +50,13 @@ use crate::packs::Packs;
 use crate::state::{AbsState, DTree, PackEnv};
 use astree_domains::{Clocked, DecisionTree, FloatItv, IntItv, Octagon};
 use astree_ir::stmt::for_each_stmt;
-use astree_ir::{canon_ident, expand_ident, Fnv, Function, Loc, LoopId, StmtId, StmtKind};
+use astree_ir::{Fnv, Function, Loc, LoopId, StmtId, StmtKind};
 use astree_memory::{AbsEnv, CellId, CellLayout, CellVal};
 use astree_obs::CacheCounters;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The format identifier on the first line of every cache file.
@@ -207,28 +198,15 @@ impl StoreKey {
     }
 }
 
-/// The on-disk name of the member-independent portable-seed file for one
-/// analysis configuration.
-pub fn portable_file_name(config_fp: u64) -> String {
-    format!("p-{config_fp:016x}.astc")
-}
-
-/// `true` when `name` is a well-formed store file name (`k-<3 × hex64>.astc`
-/// or `p-<hex64>.astc`). Remote imports validate names with this before
-/// touching the filesystem, so a peer can never escape the store directory.
+/// `true` when `name` is a well-formed store file name (`k-<3 × hex64>.astc`).
+/// Remote imports validate names with this before touching the filesystem,
+/// so a peer can never escape the store directory.
 pub fn valid_store_file_name(name: &str) -> bool {
-    let (body, groups) = if let Some(b) = name.strip_prefix("k-") {
-        (b, 3)
-    } else if let Some(b) = name.strip_prefix("p-") {
-        (b, 1)
-    } else {
-        return false;
-    };
-    let Some(body) = body.strip_suffix(".astc") else {
+    let Some(body) = name.strip_prefix("k-").and_then(|b| b.strip_suffix(".astc")) else {
         return false;
     };
     let parts: Vec<&str> = body.split('-').collect();
-    parts.len() == groups
+    parts.len() == 3
         && parts.iter().all(|g| {
             g.len() == 16 && g.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
         })
@@ -259,62 +237,16 @@ pub enum SeedOrigin {
     Func,
     /// Same member, per-loop fingerprint match after the function changed.
     Loop,
-    /// Another family member, via the channel-parametric portable store.
-    Portable,
 }
 
-/// A candidate loop invariant installed before iteration starts.
+/// A candidate loop invariant installed before iteration starts: a decoded
+/// state of the same member, used as the candidate verbatim.
 #[derive(Debug, Clone)]
-pub enum Seed {
-    /// A fully decoded same-member state, used as the candidate verbatim.
-    Full(AbsState, SeedOrigin),
-    /// A cross-member patch, applied over the loop's entry state.
-    Portable(Arc<StatePatch>),
-}
-
-/// A name-resolved cross-member seed: the components of a donor member's
-/// loop invariant that mapped onto the current member's layout and packs.
-/// Applied as a patch over the loop's entry state, so unmapped cells (the
-/// target's extra channels, unresolved names, temporaries) keep their entry
-/// values; the post-fixpoint acceptance check decides whether the result is
-/// usable.
-#[derive(Debug)]
-pub struct StatePatch {
-    clock: IntItv,
-    cells: Vec<(CellId, CellVal)>,
-    octs: Vec<(usize, Octagon)>,
-    dtrees: Vec<(usize, DTree)>,
-    ells: Vec<(usize, f64, f64)>,
-}
-
-impl StatePatch {
-    /// `base` with every mapped component replaced by the donor's value.
-    pub fn apply(&self, base: &AbsState) -> AbsState {
-        if base.is_bottom() {
-            return base.clone();
-        }
-        let mut st = base.clone();
-        let mut env = st.env.clone();
-        for (c, v) in &self.cells {
-            env = env.set(*c, *v);
-        }
-        if env.is_bottom() {
-            return base.clone(); // a mapped donor value was unrepresentable
-        }
-        env.clock = self.clock;
-        st.env = env;
-        for (pi, o) in &self.octs {
-            st.set_oct(*pi, o.clone());
-        }
-        for (pi, t) in &self.dtrees {
-            st.set_dtree(*pi, t.clone());
-        }
-        for (pi, k, pending) in &self.ells {
-            st.set_ell(*pi, *k);
-            st.set_pending(*pi, *pending);
-        }
-        st
-    }
+pub struct Seed {
+    /// The stored loop invariant.
+    pub state: AbsState,
+    /// Which fingerprint matched.
+    pub origin: SeedOrigin,
 }
 
 // ---------------------------------------------------------------------------
@@ -351,13 +283,6 @@ struct CacheFile {
     loops: HashMap<u64, Vec<String>>,
 }
 
-/// The member-independent portable-seed image: per parametric closure
-/// fingerprint, the name-keyed loop states of one donor function.
-#[derive(Debug, Default, Clone)]
-struct PortableFile {
-    funcs: HashMap<u64, Vec<(u32, Vec<String>)>>,
-}
-
 /// The disk-backed invariant store. Cheap to share (`Arc`) across batch
 /// jobs: all file state sits behind one mutex, and cumulative I/O counters
 /// are kept for reporting.
@@ -366,7 +291,6 @@ pub struct InvariantStore {
     dir: PathBuf,
     max_bytes: Option<u64>,
     files: Mutex<HashMap<String, CacheFile>>,
-    portables: Mutex<HashMap<String, PortableFile>>,
     counters: Mutex<CacheCounters>,
 }
 
@@ -378,8 +302,9 @@ impl InvariantStore {
 
     /// Opens a store whose on-disk footprint is bounded: after every write,
     /// cache files are evicted oldest-mtime-first until the directory fits
-    /// in `max_bytes` (the just-written file is never evicted). Evicted
-    /// entries simply become cold misses on the next run.
+    /// in `max_bytes` (the just-written file goes last, so it is evicted
+    /// only when it alone exceeds the bound). Evicted entries simply become
+    /// cold misses on the next run.
     pub fn open_bounded(
         dir: impl Into<PathBuf>,
         max_bytes: u64,
@@ -393,7 +318,6 @@ impl InvariantStore {
             dir,
             max_bytes,
             files: Mutex::new(HashMap::new()),
-            portables: Mutex::new(HashMap::new()),
             counters: Mutex::new(CacheCounters::default()),
         })
     }
@@ -486,37 +410,6 @@ impl InvariantStore {
         decode_state(&mut raw.iter().map(String::as_str), layout, packs)
     }
 
-    /// Looks up the portable (cross-member) seeds of one function by its
-    /// channel-parametric closure fingerprint, resolving stored canonical
-    /// cell names against the *current* member's layout and packs with the
-    /// target's channel `tag`. Returns `(loop ordinal, patch)` candidates;
-    /// `None` when nothing usable mapped.
-    pub fn lookup_portable_seeds(
-        &self,
-        config_fp: u64,
-        parametric_fp: u64,
-        tag: &str,
-        layout: &CellLayout,
-        packs: &Packs,
-    ) -> Option<Vec<(u32, StatePatch)>> {
-        let mut portables = self.portables.lock().expect("store poisoned");
-        let file = self.load_portable(&mut portables, config_fp);
-        let raw = file.funcs.get(&parametric_fp)?.clone();
-        drop(portables);
-        let mut out = Vec::with_capacity(raw.len());
-        for (ordinal, lines) in &raw {
-            if let Some(p) = decode_patch(&mut lines.iter().map(String::as_str), layout, packs, tag)
-            {
-                out.push((*ordinal, p));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
-    }
-
     /// Records the outcome of a (cold or seeded) run: the whole-program
     /// entry for `program_fp`, the per-function seed sections and the
     /// per-loop seed sections, then persists the cache file.
@@ -566,37 +459,6 @@ impl InvariantStore {
         self.write_file(&key.file_name(), &text);
     }
 
-    /// Records the portable seed sections of a run: per donor root function,
-    /// its parametric closure fingerprint, channel tag and converged loop
-    /// states, encoded by canonical cell name so any family member sharing
-    /// this configuration can decode them.
-    pub fn update_portable(
-        &self,
-        config_fp: u64,
-        layout: &CellLayout,
-        packs: &Packs,
-        seeds: &[(u64, String, Vec<(u32, AbsState)>)],
-    ) {
-        if seeds.is_empty() {
-            return;
-        }
-        let mut portables = self.portables.lock().expect("store poisoned");
-        let file = self.load_portable(&mut portables, config_fp);
-        for (parametric_fp, tag, loops) in seeds {
-            let mut enc: Vec<(u32, Vec<String>)> = Vec::with_capacity(loops.len());
-            for (ordinal, st) in loops {
-                let mut lines = Vec::new();
-                encode_state_named(&mut lines, st, layout, packs, tag);
-                enc.push((*ordinal, lines));
-            }
-            enc.sort_by_key(|(o, _)| *o);
-            file.funcs.insert(*parametric_fp, enc);
-        }
-        let text = serialize_portable_file(config_fp, file);
-        drop(portables);
-        self.write_file(&portable_file_name(config_fp), &text);
-    }
-
     /// Lists the store's cache files by name (sorted, valid names only) —
     /// the inventory a fleet store sync negotiates over.
     pub fn file_names(&self) -> Vec<String> {
@@ -630,45 +492,27 @@ impl InvariantStore {
         }
         let mut groups = name[2..name.len() - 5].split('-');
         let mut fp = || u64::from_str_radix(groups.next().unwrap_or(""), 16).unwrap_or(0);
-        if name.starts_with("k-") {
-            let key = StoreKey { layout_fp: fp(), packs_fp: fp(), config_fp: fp() };
-            let Some(incoming) = parse_file(&key, text) else {
-                return false;
-            };
-            let mut files = self.files.lock().expect("store poisoned");
-            let cur = self.load(&mut files, &key);
-            let before = serialize_file(&key, cur);
-            cur.entries.extend(incoming.entries);
-            cur.funcs.extend(incoming.funcs);
-            cur.loops.extend(incoming.loops);
-            let after = serialize_file(&key, cur);
-            drop(files);
-            if after == before {
-                return false;
-            }
-            self.write_file(name, &after);
-            true
-        } else {
-            let config_fp = fp();
-            let Some(incoming) = parse_portable_file(config_fp, text) else {
-                return false;
-            };
-            let mut portables = self.portables.lock().expect("store poisoned");
-            let cur = self.load_portable(&mut portables, config_fp);
-            let before = serialize_portable_file(config_fp, cur);
-            cur.funcs.extend(incoming.funcs);
-            let after = serialize_portable_file(config_fp, cur);
-            drop(portables);
-            if after == before {
-                return false;
-            }
-            self.write_file(name, &after);
-            true
+        let key = StoreKey { layout_fp: fp(), packs_fp: fp(), config_fp: fp() };
+        let Some(incoming) = parse_file(&key, text) else {
+            return false;
+        };
+        let mut files = self.files.lock().expect("store poisoned");
+        let cur = self.load(&mut files, &key);
+        let before = serialize_file(&key, cur);
+        cur.entries.extend(incoming.entries);
+        cur.funcs.extend(incoming.funcs);
+        cur.loops.extend(incoming.loops);
+        let after = serialize_file(&key, cur);
+        drop(files);
+        if after == before {
+            return false;
         }
+        self.write_file(name, &after);
+        true
     }
 
     /// Atomically writes one cache file, counts the bytes and enforces the
-    /// store size bound (never evicting the file just written).
+    /// store size bound.
     fn write_file(&self, name: &str, text: &str) {
         let path = self.dir.join(name);
         let tmp = self.dir.join(format!("{name}.tmp"));
@@ -679,15 +523,16 @@ impl InvariantStore {
         }
     }
 
-    /// Oldest-mtime-first eviction until the directory fits `max_bytes`.
-    fn enforce_bound(&self, keep: &str) {
+    /// Oldest-mtime-first eviction until the directory fits `max_bytes`,
+    /// with the just-written file `newest` last in line.
+    fn enforce_bound(&self, newest: &str) {
         let Some(max) = self.max_bytes else {
             return;
         };
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return;
         };
-        let mut entries: Vec<(std::time::SystemTime, u64, String)> = Vec::new();
+        let mut entries: Vec<(bool, std::time::SystemTime, u64, String)> = Vec::new();
         for e in rd.flatten() {
             let name = e.file_name().to_string_lossy().into_owned();
             if !name.ends_with(".astc") {
@@ -697,23 +542,19 @@ impl InvariantStore {
                 continue;
             };
             let mtime = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            entries.push((mtime, md.len(), name));
+            entries.push((name == newest, mtime, md.len(), name));
         }
-        let mut total: u64 = entries.iter().map(|(_, len, _)| *len).sum();
+        let mut total: u64 = entries.iter().map(|(_, _, len, _)| *len).sum();
         entries.sort();
-        for (_, len, name) in entries {
+        for (_, _, len, name) in entries {
             if total <= max {
                 break;
-            }
-            if name == keep {
-                continue;
             }
             if std::fs::remove_file(self.dir.join(&name)).is_ok() {
                 total -= len;
                 self.counters.lock().expect("store poisoned").evictions += 1;
                 // Drop any cached image so the eviction is visible in-process.
                 self.files.lock().expect("store poisoned").remove(&name);
-                self.portables.lock().expect("store poisoned").remove(&name);
             }
         }
     }
@@ -746,34 +587,6 @@ impl InvariantStore {
             files.insert(name.clone(), file);
         }
         files.get_mut(&name).expect("just inserted")
-    }
-
-    /// [`InvariantStore::load`], for the portable-seed file of `config_fp`.
-    fn load_portable<'m>(
-        &self,
-        portables: &'m mut HashMap<String, PortableFile>,
-        config_fp: u64,
-    ) -> &'m mut PortableFile {
-        let name = portable_file_name(config_fp);
-        if !portables.contains_key(&name) {
-            let path = self.dir.join(&name);
-            let file = match std::fs::read_to_string(&path) {
-                Ok(text) => {
-                    let mut c = self.counters.lock().expect("store poisoned");
-                    c.bytes_read += text.len() as u64;
-                    match parse_portable_file(config_fp, &text) {
-                        Some(f) => f,
-                        None => {
-                            c.corrupt_files += 1;
-                            PortableFile::default()
-                        }
-                    }
-                }
-                Err(_) => PortableFile::default(),
-            };
-            portables.insert(name.clone(), file);
-        }
-        portables.get_mut(&name).expect("just inserted")
     }
 }
 
@@ -935,7 +748,6 @@ fn decode_stats(line: &str, useful: &[usize]) -> Option<AnalysisStats> {
         loops_solved: 0,
         loops_replayed: 0,
         loops_seeded: 0,
-        seed_hits: 0,
         loops_rechecked: 0,
     })
 }
@@ -1169,368 +981,6 @@ fn decode_state<'a>(
         st.set_pending(pi, pending);
     }
     Some(st)
-}
-
-// ---------------------------------------------------------------------------
-// Portable (name-keyed) codec
-// ---------------------------------------------------------------------------
-
-/// Serializes one abstract state with every cell keyed by its canonical
-/// channel-parametric *name* ([`canon_ident`] with the donor's `tag`) rather
-/// than its [`CellId`], so the lines can be decoded against a different
-/// family member's layout. Temporaries (`__tmp*`) are omitted: their
-/// numbering is member-specific, and the acceptance pass recomputes their
-/// values anyway. Relational components carry their pack member names so the
-/// decoder can re-match packs structurally.
-fn encode_state_named(
-    out: &mut Vec<String>,
-    st: &AbsState,
-    layout: &CellLayout,
-    packs: &Packs,
-    tag: &str,
-) {
-    if st.is_bottom() {
-        out.push("S 1".to_string());
-        return;
-    }
-    let names: HashMap<CellId, String> =
-        layout.iter().map(|(id, info)| (id, canon_ident(&info.name, tag))).collect();
-    out.push("S 0".to_string());
-    out.push(format!("k {} {}", st.env.clock.lo, st.env.clock.hi));
-    let mut cells: Vec<(&String, CellVal)> = st
-        .env
-        .iter()
-        .filter_map(|(c, v)| {
-            let name = names.get(c)?;
-            if name.starts_with("__tmp") {
-                None
-            } else {
-                Some((name, *v))
-            }
-        })
-        .collect();
-    cells.sort_by(|a, b| a.0.cmp(b.0));
-    out.push(format!("e {}", cells.len()));
-    for (name, v) in &cells {
-        let mut line = format!("c {}", esc(name));
-        encode_cell_val(&mut line, v);
-        out.push(line);
-    }
-    let octs: Vec<(usize, &Octagon)> = st.octs_iter().collect();
-    out.push(format!("o {}", octs.len()));
-    for (pi, o) in octs {
-        let (n, m, closed) = o.to_raw();
-        let mut line = format!("x {n}");
-        for c in &packs.octagons[pi].cells {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        let _ = write!(line, " {}", closed as u8);
-        let mut i = 0;
-        while i < m.len() {
-            let bits = m[i].to_bits();
-            let mut j = i + 1;
-            while j < m.len() && m[j].to_bits() == bits {
-                j += 1;
-            }
-            let _ = write!(line, " {}:{:016x}", j - i, bits);
-            i = j;
-        }
-        out.push(line);
-    }
-    let dtrees: Vec<(usize, &DTree)> = st.dtrees_iter().collect();
-    out.push(format!("d {}", dtrees.len()));
-    for (pi, tree) in dtrees {
-        let pack = &packs.dtrees[pi];
-        let mut line = format!("t {}", pack.bools.len());
-        for c in &pack.bools {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        let _ = write!(line, " {}", pack.nums.len());
-        for c in &pack.nums {
-            let _ = write!(line, " {}", esc(&names[c]));
-        }
-        encode_dtree_named(&mut line, tree, &names);
-        out.push(line);
-    }
-    let ells: Vec<(usize, f64)> = st.ellipses_iter().collect();
-    out.push(format!("l {}", ells.len()));
-    for (pi, k) in ells {
-        let e = &packs.ellipses[pi];
-        out.push(format!(
-            "p {:016x} {:016x} {} {} {} {:016x} {:016x}",
-            e.a.to_bits(),
-            e.b.to_bits(),
-            esc(&names[&e.x]),
-            esc(&names[&e.y]),
-            esc(&names[&e.tmp]),
-            k.to_bits(),
-            st.pending(pi).to_bits(),
-        ));
-    }
-}
-
-fn encode_dtree_named(out: &mut String, t: &DTree, names: &HashMap<CellId, String>) {
-    match t {
-        DecisionTree::Leaf(env) => {
-            let _ = write!(out, " L {} {}", env.unreachable as u8, env.cells.len());
-            for (c, v) in &env.cells {
-                let _ = write!(out, " {}", esc(&names[c]));
-                encode_cell_val(out, v);
-            }
-        }
-        DecisionTree::Node { var, f, t } => {
-            let _ = write!(out, " N {}", esc(&names[var]));
-            encode_dtree_named(out, f, names);
-            encode_dtree_named(out, t, names);
-        }
-    }
-}
-
-fn decode_dtree_named<'a, I: Iterator<Item = &'a str>>(
-    t: &mut Toks<'a, I>,
-    resolve: &impl Fn(&str) -> Option<CellId>,
-) -> Option<DTree> {
-    match t.tok()? {
-        "L" => {
-            let unreachable = t.bool()?;
-            let n = t.usize()?;
-            let mut cells = Vec::with_capacity(n);
-            for _ in 0..n {
-                let c = resolve(t.tok()?)?;
-                cells.push((c, decode_cell_val(t)?));
-            }
-            Some(DecisionTree::Leaf(PackEnv { cells, unreachable }))
-        }
-        "N" => {
-            let var = resolve(t.tok()?)?;
-            let f = decode_dtree_named(t, resolve)?;
-            let tt = decode_dtree_named(t, resolve)?;
-            Some(DecisionTree::Node { var, f: Box::new(f), t: Box::new(tt) })
-        }
-        _ => None,
-    }
-}
-
-/// Decodes one name-keyed state into a [`StatePatch`] against the current
-/// member's layout and packs, expanding each stored canonical name with the
-/// target's channel `tag`. Unresolvable cells and unmatched packs are
-/// silently dropped (the patch is applied over the entry state, so dropped
-/// components simply keep their entry values); only a structurally broken
-/// record yields `None`.
-fn decode_patch<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    layout: &CellLayout,
-    packs: &Packs,
-    tag: &str,
-) -> Option<StatePatch> {
-    let ids: HashMap<String, CellId> =
-        layout.iter().map(|(id, info)| (info.name.clone(), id)).collect();
-    let resolve =
-        |stored: &str| -> Option<CellId> { ids.get(&expand_ident(&unesc(stored)?, tag)).copied() };
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "S" {
-        return None;
-    }
-    if t.bool()? {
-        return None; // a bottom donor state is useless as a seed
-    }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "k" {
-        return None;
-    }
-    let clock = IntItv { lo: t.i64()?, hi: t.i64()? };
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "e" {
-        return None;
-    }
-    let ncells = t.usize()?;
-    let mut cells = Vec::with_capacity(ncells);
-    for _ in 0..ncells {
-        let mut t = toks(lines.next()?);
-        if t.tok()? != "c" {
-            return None;
-        }
-        let name = t.tok()?;
-        let v = decode_cell_val(&mut t)?;
-        if let Some(c) = resolve(name) {
-            cells.push((c, v));
-        }
-    }
-    let oct_index: HashMap<&[CellId], usize> =
-        packs.octagons.iter().enumerate().map(|(i, p)| (p.cells.as_slice(), i)).collect();
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "o" {
-        return None;
-    }
-    let nocts = t.usize()?;
-    let mut octs = Vec::new();
-    for _ in 0..nocts {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "x" {
-            return None;
-        }
-        let n = t.usize()?;
-        let mut members = Some(Vec::with_capacity(n));
-        for _ in 0..n {
-            let name = t.tok()?;
-            members = match (members, resolve(name)) {
-                (Some(mut m), Some(c)) => {
-                    m.push(c);
-                    Some(m)
-                }
-                _ => None,
-            };
-        }
-        let closed = t.bool()?;
-        let mut m = Vec::with_capacity(4 * n * n);
-        while m.len() < 4 * n * n {
-            let run = t.tok()?;
-            let (count, bits) = run.split_once(':')?;
-            let count: usize = count.parse().ok()?;
-            let bits = u64::from_str_radix(bits, 16).ok()?;
-            for _ in 0..count {
-                m.push(f64::from_bits(bits));
-            }
-        }
-        if let Some(pi) = members.and_then(|mm| oct_index.get(mm.as_slice()).copied()) {
-            if let Some(o) = Octagon::from_raw(n, m, closed) {
-                octs.push((pi, o));
-            }
-        }
-    }
-    let dtree_index: HashMap<(&[CellId], &[CellId]), usize> = packs
-        .dtrees
-        .iter()
-        .enumerate()
-        .map(|(i, p)| ((p.bools.as_slice(), p.nums.as_slice()), i))
-        .collect();
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "d" {
-        return None;
-    }
-    let ndts = t.usize()?;
-    let mut dtrees = Vec::new();
-    for _ in 0..ndts {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "t" {
-            return None;
-        }
-        let read_group = |t: &mut Toks<'a, _>| -> Option<Option<Vec<CellId>>> {
-            let n = t.usize()?;
-            let mut group = Some(Vec::with_capacity(n));
-            for _ in 0..n {
-                let name = t.tok()?;
-                group = match (group, resolve(name)) {
-                    (Some(mut g), Some(c)) => {
-                        g.push(c);
-                        Some(g)
-                    }
-                    _ => None,
-                };
-            }
-            Some(group)
-        };
-        let bools = read_group(&mut t)?;
-        let nums = read_group(&mut t)?;
-        let tree = decode_dtree_named(&mut t, &resolve);
-        if let (Some(bools), Some(nums), Some(tree)) = (bools, nums, tree) {
-            if let Some(&pi) = dtree_index.get(&(bools.as_slice(), nums.as_slice())) {
-                dtrees.push((pi, tree));
-            }
-        }
-    }
-    let mut t = toks(lines.next()?);
-    if t.tok()? != "l" {
-        return None;
-    }
-    let nells = t.usize()?;
-    let mut ells = Vec::new();
-    for _ in 0..nells {
-        let line = lines.next()?;
-        let mut t = toks(line);
-        if t.tok()? != "p" {
-            return None;
-        }
-        let a = t.f64()?;
-        let b = t.f64()?;
-        let x = resolve(t.tok()?);
-        let y = resolve(t.tok()?);
-        let tmp = resolve(t.tok()?);
-        let k = t.f64()?;
-        let pending = t.f64()?;
-        if let (Some(x), Some(y), Some(tmp)) = (x, y, tmp) {
-            if let Some(pi) = packs.ellipses.iter().position(|e| {
-                e.a.to_bits() == a.to_bits()
-                    && e.b.to_bits() == b.to_bits()
-                    && e.x == x
-                    && e.y == y
-                    && e.tmp == tmp
-            }) {
-                ells.push((pi, k, pending));
-            }
-        }
-    }
-    Some(StatePatch { clock, cells, octs, dtrees, ells })
-}
-
-fn serialize_portable_file(config_fp: u64, file: &PortableFile) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{CACHE_FORMAT}");
-    let _ = writeln!(out, "pkey {config_fp:016x}");
-    let mut funcs: Vec<(&u64, &Vec<(u32, Vec<String>)>)> = file.funcs.iter().collect();
-    funcs.sort_by_key(|(fp, _)| **fp);
-    for (fp, loops) in funcs {
-        let _ = writeln!(out, "pfunc {:016x} {}", fp, loops.len());
-        for (ordinal, lines) in loops {
-            let _ = writeln!(out, "seed {ordinal}");
-            for l in lines {
-                let _ = writeln!(out, "{l}");
-            }
-        }
-    }
-    out.push_str("end\n");
-    out
-}
-
-fn parse_portable_file(config_fp: u64, text: &str) -> Option<PortableFile> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut i = 0;
-    if *lines.get(i)? != CACHE_FORMAT {
-        return None;
-    }
-    i += 1;
-    let mut t = toks(lines.get(i)?);
-    if t.tok()? != "pkey" || t.hex64()? != config_fp {
-        return None;
-    }
-    i += 1;
-    let mut file = PortableFile::default();
-    loop {
-        let line = *lines.get(i)?;
-        if line == "end" {
-            return Some(file);
-        }
-        let mut t = toks(line);
-        if t.tok()? != "pfunc" {
-            return None;
-        }
-        let fp = t.hex64()?;
-        let n = t.usize()?;
-        i += 1;
-        let mut loops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut t = toks(lines.get(i)?);
-            if t.tok()? != "seed" {
-                return None;
-            }
-            let ordinal = t.u32()?;
-            i += 1;
-            loops.push((ordinal, take_state_lines(&lines, &mut i)?));
-        }
-        file.funcs.insert(fp, loops);
-    }
 }
 
 fn serialize_file(key: &StoreKey, file: &CacheFile) -> String {
@@ -1767,6 +1217,7 @@ mod tests {
     use super::*;
     use astree_frontend::Frontend;
     use astree_memory::LayoutConfig;
+    use std::sync::Arc;
 
     fn temp_store(tag: &str) -> InvariantStore {
         let dir =
@@ -1906,6 +1357,45 @@ mod tests {
         let fresh = InvariantStore::open(store.dir()).expect("opens");
         assert!(fresh.lookup_full(&key, 99, &layout, &packs).is_none());
         assert_eq!(fresh.counters().corrupt_files, 1);
+    }
+
+    #[test]
+    fn legacy_portable_files_are_inert() {
+        // Stores written before cross-member transfer was removed may still
+        // hold a `p-<config>.astc` file. It is neither listed, exported nor
+        // importable, and a run over the store ignores it.
+        let store = Arc::new(temp_store("legacy-portable"));
+        let (program, config) = sample();
+        let name = format!("p-{:016x}.astc", config_fingerprint(&config));
+        let legacy = format!("{CACHE_FORMAT}\npkey {:016x}\nend\n", config_fingerprint(&config));
+        let path = store.dir().join(&name);
+        std::fs::write(&path, &legacy).expect("writes");
+        assert!(!valid_store_file_name(&name));
+        assert!(store.file_names().is_empty());
+        assert!(store.export_file(&name).is_none());
+        assert!(!store.import_file(&name, &legacy), "a wire store_put of it is refused");
+
+        let cold = crate::analysis::AnalysisSession::builder(&program)
+            .config(config.clone())
+            .build()
+            .run();
+        let warm = crate::analysis::AnalysisSession::builder(&program)
+            .config(config)
+            .cache(Arc::clone(&store))
+            .build()
+            .run();
+        assert!(!warm.cache.full_hit);
+        assert_eq!(warm.stats.loops_seeded, 0);
+        assert_eq!(warm.alarms, cold.alarms);
+        assert_eq!(warm.main_census, cold.main_census);
+        assert_eq!(
+            warm.main_invariant.map(|s| s.to_string()),
+            cold.main_invariant.map(|s| s.to_string())
+        );
+        assert_eq!(std::fs::read_to_string(&path).expect("reads"), legacy, "left untouched");
+        let names = store.file_names();
+        assert_eq!(names.len(), 1, "{names:?}");
+        assert!(names[0].starts_with("k-"), "{names:?}");
     }
 
     #[test]

@@ -83,10 +83,10 @@ pub struct Iter<'a> {
     /// Candidate loop invariants from the incremental cache. A candidate is
     /// accepted iff one body pass proves it is still a post-fixpoint
     /// (`entry ⊔ F(seed) ⊑ seed`); otherwise the loop is solved cold.
-    /// Per-loop and cross-member candidates get one rescue attempt: the
-    /// failed pass's iterate `entry ⊔ F(seed)` is itself re-checked with
-    /// the same predicate (one Kleene step absorbs drift in cells the
-    /// candidate could not carry, e.g. member-specific temporaries).
+    /// Per-loop candidates get one rescue attempt: the failed pass's
+    /// iterate `entry ⊔ F(seed)` is itself re-checked with the same
+    /// predicate (one Kleene step absorbs drift from the edit outside the
+    /// loop).
     pub seeds: HashMap<LoopId, Seed>,
     /// Per-loop *coverage witness*: the post-unroll entry iterate (`base`)
     /// of the **last** iteration-mode visit, recorded alongside the stored
@@ -111,12 +111,9 @@ pub struct Iter<'a> {
     pub loops_solved: u64,
     /// Loops whose cached invariant was verified by a single body pass.
     pub loops_replayed: u64,
-    /// Loops seeded from a per-loop or cross-member candidate that passed
-    /// the acceptance check.
+    /// Loops seeded from a per-loop candidate that passed the acceptance
+    /// check.
     pub loops_seeded: u64,
-    /// The subset of [`Iter::loops_seeded`] whose candidate came from
-    /// another family member (portable store).
-    pub seed_hits: u64,
     /// Loops re-solved during the checking pass because the stored
     /// invariant did not cover the arriving context (see
     /// [`Iter::recheck_invariant`]).
@@ -194,7 +191,6 @@ struct SliceOut {
     loops_solved: u64,
     loops_replayed: u64,
     loops_seeded: u64,
-    seed_hits: u64,
     loops_rechecked: u64,
     solved_by_func: BTreeMap<String, u64>,
     replayed_by_func: BTreeMap<String, u64>,
@@ -237,7 +233,6 @@ impl<'a> Iter<'a> {
             loops_solved: 0,
             loops_replayed: 0,
             loops_seeded: 0,
-            seed_hits: 0,
             loops_rechecked: 0,
             solved_by_func: BTreeMap::new(),
             replayed_by_func: BTreeMap::new(),
@@ -527,7 +522,6 @@ impl<'a> Iter<'a> {
                     loops_solved: w.loops_solved,
                     loops_replayed: w.loops_replayed,
                     loops_seeded: w.loops_seeded,
-                    seed_hits: w.seed_hits,
                     loops_rechecked: w.loops_rechecked,
                     solved_by_func: w.solved_by_func,
                     replayed_by_func: w.replayed_by_func,
@@ -594,7 +588,6 @@ impl<'a> Iter<'a> {
                 self.loops_solved += out.loops_solved;
                 self.loops_replayed += out.loops_replayed;
                 self.loops_seeded += out.loops_seeded;
-                self.seed_hits += out.seed_hits;
                 for (k, v) in out.solved_by_func {
                     *self.solved_by_func.entry(k).or_insert(0) += v;
                 }
@@ -803,14 +796,10 @@ impl<'a> Iter<'a> {
         // loop (`entry ⊔ F(seed) ⊑ seed`, sound by Tarski). A stale
         // candidate costs one pass and falls back to cold iteration.
         if self.mode == Mode::Iterate {
-            if let Some(seed) = self.seeds.get(&id).cloned() {
-                let (mut cand, origin) = match seed {
-                    Seed::Full(st, o) => (st, o),
-                    Seed::Portable(p) => (p.apply(&base), SeedOrigin::Portable),
-                };
+            if let Some(Seed { state: mut cand, origin }) = self.seeds.get(&id).cloned() {
                 // A whole-function candidate either fits verbatim or not;
-                // per-loop and cross-member candidates get the one-step
-                // rescue (see the `seeds` field).
+                // per-loop candidates get the one-step rescue (see the
+                // `seeds` field).
                 let attempts = if origin == SeedOrigin::Func { 1 } else { 2 };
                 for attempt in 0..attempts {
                     let body_in = self.state_guard(&cand, cond, true);
@@ -824,10 +813,6 @@ impl<'a> Iter<'a> {
                                 *self.replayed_by_func.entry(f).or_insert(0) += 1;
                             }
                             SeedOrigin::Loop => self.loops_seeded += 1,
-                            SeedOrigin::Portable => {
-                                self.loops_seeded += 1;
-                                self.seed_hits += 1;
-                            }
                         }
                         if self.rec_on {
                             self.rec.loop_done(&LoopDoneEvent {
@@ -1178,8 +1163,7 @@ impl<'a> Iter<'a> {
         // slice touches). Letting those solves bump the widening counters
         // would break the bit-identical parallel-vs-sequential contract.
         let saved_stats = self.stats.clone();
-        let saved_solved =
-            (self.loops_solved, self.loops_replayed, self.loops_seeded, self.seed_hits);
+        let saved_solved = (self.loops_solved, self.loops_replayed, self.loops_seeded);
         let saved_solved_func = self.solved_by_func.clone();
         let saved_replayed_func = self.replayed_by_func.clone();
         let prev_rec = self.rec_on;
@@ -1193,7 +1177,7 @@ impl<'a> Iter<'a> {
         self.invariants = saved_invariants;
         self.cover = saved_cover;
         self.stats = saved_stats;
-        (self.loops_solved, self.loops_replayed, self.loops_seeded, self.seed_hits) = saved_solved;
+        (self.loops_solved, self.loops_replayed, self.loops_seeded) = saved_solved;
         self.solved_by_func = saved_solved_func;
         self.replayed_by_func = saved_replayed_func;
         self.loops_rechecked += 1;

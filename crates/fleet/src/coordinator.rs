@@ -48,6 +48,10 @@ use std::time::{Duration, Instant};
 /// How long a freshly started worker gets to answer `init` with `ready`.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long a local worker gets to exit on its own after `bye` before it is
+/// killed. Its clean-up (removing its synced store copy) runs in this time.
+const EXIT_GRACE: Duration = Duration::from_secs(5);
+
 /// One worker connection the coordinator can start, feed frames, and kill.
 ///
 /// `start` may be called again after a failure: process transports spawn a
@@ -61,6 +65,11 @@ pub trait Transport: Send {
     fn send(&mut self, frame: &Json) -> io::Result<()>;
     /// Forcibly terminates the connection (and the child, if local).
     fn kill(&mut self);
+    /// Ends a conversation that finished normally (after `bye`). The
+    /// default is [`Transport::kill`].
+    fn close(&mut self) {
+        self.kill();
+    }
     /// Human-readable identity for error messages.
     fn describe(&self) -> String;
 }
@@ -111,6 +120,22 @@ impl Transport for ProcessTransport {
             let _ = child.kill();
             let _ = child.wait();
         }
+    }
+
+    /// Closes the worker's stdin and waits up to [`EXIT_GRACE`] for it to
+    /// exit, so its `Drop` clean-up runs; kills it only if it outlives that.
+    fn close(&mut self) {
+        if let Some(child) = self.child.as_mut() {
+            drop(child.stdin.take());
+            let deadline = Instant::now() + EXIT_GRACE;
+            while let Ok(None) = child.try_wait() {
+                if Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        self.kill();
     }
 
     fn describe(&self) -> String {
@@ -648,7 +673,7 @@ fn lane(
         }
     }
     let _ = transport.send(&Json::obj([("frame", Json::str("bye"))]));
-    transport.kill();
+    transport.close();
 }
 
 /// Crash path: charge the job's retry budget, re-scatter or fail it, and

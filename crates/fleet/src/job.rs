@@ -195,9 +195,6 @@ pub struct JobOutcome {
     /// excluded from the stable report like every warm/cold-dependent
     /// field).
     pub loops_seeded: u64,
-    /// Loops installed from cross-member portable seeds on this job
-    /// (excluded from the stable report).
-    pub seed_hits: u64,
     /// Wall-clock time the job occupied a worker.
     pub wall: Duration,
     /// Worker lane that ran the job (informational).
@@ -222,7 +219,6 @@ impl JobOutcome {
             main_census: None,
             cache_full_hit: false,
             loops_seeded: 0,
-            seed_hits: 0,
             wall: Duration::ZERO,
             worker: 0,
             resent: 0,
@@ -359,7 +355,6 @@ mod tests {
         b.resent = 2;
         b.cache_full_hit = true;
         b.loops_seeded = 4;
-        b.seed_hits = 2;
         let ra = FleetReport {
             outcomes: vec![a],
             wall: Duration::from_secs(1),

@@ -462,7 +462,6 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
         ("main_census", o.main_census.as_deref().map_or(Json::Null, Json::str)),
         ("cache_full_hit", Json::Bool(o.cache_full_hit)),
         ("loops_seeded", Json::UInt(o.loops_seeded)),
-        ("seed_hits", Json::UInt(o.seed_hits)),
         ("wall_nanos", Json::UInt(o.wall.as_nanos() as u64)),
         ("detail", o.detail.as_deref().map_or(Json::Null, Json::str)),
         ("oracle", o.oracle.as_ref().map_or(Json::Null, member_outcome_to_json)),
@@ -484,7 +483,6 @@ pub fn outcome_from_json(j: &Json) -> Result<JobOutcome, String> {
         main_census: opt_str(j, "main_census"),
         cache_full_hit: j.get("cache_full_hit").and_then(Json::as_bool).unwrap_or(false),
         loops_seeded: j.get("loops_seeded").and_then(Json::as_u64).unwrap_or(0),
-        seed_hits: j.get("seed_hits").and_then(Json::as_u64).unwrap_or(0),
         wall: Duration::from_nanos(get_u64(j, "wall_nanos")?),
         worker: 0,
         resent: 0,
@@ -568,7 +566,6 @@ mod tests {
         out.main_invariant = Some("x in [0, 4]\n".into());
         out.cache_full_hit = true;
         out.loops_seeded = 3;
-        out.seed_hits = 1;
         out.wall = Duration::from_nanos(1234);
         out.oracle = Some(MemberOutcome {
             spec: spec.oracle.as_ref().unwrap().spec.clone(),
@@ -593,7 +590,6 @@ mod tests {
         assert_eq!(back.main_invariant, out.main_invariant);
         assert!(back.cache_full_hit);
         assert_eq!(back.loops_seeded, 3);
-        assert_eq!(back.seed_hits, 1);
         assert_eq!(back.wall, out.wall);
         let m = back.oracle.unwrap();
         assert_eq!(m.executions, 3);

@@ -109,71 +109,11 @@ impl Fnv {
 /// frontend renumbers globally (statement ids, loop ids, locations, variable
 /// ids).
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum IdMode<'a> {
+enum IdMode {
     /// Hash them raw: exact identity, replay-safe.
     Exact,
     /// Skip them; name variables structurally. Edit-stable.
     Stable,
-    /// Like [`IdMode::Stable`], but canonicalize the given channel tag out of
-    /// every identifier first (see [`canon_ident`]). With an empty tag this
-    /// produces the same digest as `Stable`.
-    Parametric(&'a str),
-}
-
-impl IdMode<'_> {
-    fn hash_name(self, h: &mut Fnv, name: &str) {
-        match self {
-            IdMode::Parametric(tag) if !tag.is_empty() => h.str(&canon_ident(name, tag)),
-            _ => h.str(name),
-        }
-    }
-}
-
-/// The channel tag of a generated function name: its longest trailing run of
-/// ASCII digits (`"step12"` → `"12"`), or `""` when the name has none.
-pub fn channel_tag(name: &str) -> &str {
-    let stem = name.trim_end_matches(|c: char| c.is_ascii_digit());
-    &name[stem.len()..]
-}
-
-/// Canonicalizes a generated identifier (or abstract-cell name) against a
-/// channel tag: every maximal run of ASCII digits that equals `tag` and is
-/// preceded by a letter or `_` is replaced by `#`. Array indices stay
-/// (`"hist12[3]"` with tag `"12"` → `"hist#[3]"`: the `3` follows `[`).
-/// With an empty tag this is the identity.
-pub fn canon_ident(name: &str, tag: &str) -> String {
-    if tag.is_empty() {
-        return name.to_string();
-    }
-    let bytes = name.as_bytes();
-    let mut out = String::with_capacity(name.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            let run = &name[start..i];
-            let preceded =
-                start > 0 && (bytes[start - 1].is_ascii_alphabetic() || bytes[start - 1] == b'_');
-            if preceded && run == tag {
-                out.push('#');
-            } else {
-                out.push_str(run);
-            }
-        } else {
-            out.push(bytes[i] as char);
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Inverse of [`canon_ident`] for a concrete target tag: every `#` becomes
-/// `tag`. Identifiers and cell names never contain `#` otherwise.
-pub fn expand_ident(name: &str, tag: &str) -> String {
-    name.replace('#', tag)
 }
 
 fn hash_int_type(h: &mut Fnv, t: IntType) {
@@ -218,15 +158,15 @@ fn hash_type(h: &mut Fnv, t: &Type, records: &[RecordDef]) {
     }
 }
 
-fn hash_var_ref(h: &mut Fnv, program: &Program, v: VarId, mode: IdMode<'_>) {
+fn hash_var_ref(h: &mut Fnv, program: &Program, v: VarId, mode: IdMode) {
     match mode {
         IdMode::Exact => h.u32(v.0),
-        IdMode::Stable | IdMode::Parametric(_) => {
+        IdMode::Stable => {
             // Identify the variable by what the analyzer sees, not by its
             // slot in the global table (adding a local to one function
             // shifts every later variable id).
             let info: &VarInfo = program.var(v);
-            mode.hash_name(h, &info.name);
+            h.str(&info.name);
             hash_type(h, &info.ty, &program.records);
             h.byte(match info.kind {
                 VarKind::Global => 0,
@@ -256,7 +196,7 @@ fn hash_input_range(h: &mut Fnv, r: Option<InputRange>) {
     }
 }
 
-fn hash_lvalue(h: &mut Fnv, program: &Program, lv: &Lvalue, mode: IdMode<'_>) {
+fn hash_lvalue(h: &mut Fnv, program: &Program, lv: &Lvalue, mode: IdMode) {
     hash_var_ref(h, program, lv.base, mode);
     h.usize(lv.path.len());
     for a in &lv.path {
@@ -273,7 +213,7 @@ fn hash_lvalue(h: &mut Fnv, program: &Program, lv: &Lvalue, mode: IdMode<'_>) {
     }
 }
 
-fn hash_expr(h: &mut Fnv, program: &Program, e: &Expr, mode: IdMode<'_>) {
+fn hash_expr(h: &mut Fnv, program: &Program, e: &Expr, mode: IdMode) {
     match e {
         Expr::Int(v, t) => {
             h.byte(0);
@@ -318,7 +258,7 @@ fn hash_stmt(
     h: &mut Fnv,
     program: &Program,
     s: &Stmt,
-    mode: IdMode<'_>,
+    mode: IdMode,
     callee_fp: &impl Fn(FuncId) -> u64,
 ) {
     if mode == IdMode::Exact {
@@ -395,7 +335,7 @@ fn hash_block(
     h: &mut Fnv,
     program: &Program,
     b: &Block,
-    mode: IdMode<'_>,
+    mode: IdMode,
     callee_fp: &impl Fn(FuncId) -> u64,
 ) {
     h.usize(b.len());
@@ -404,8 +344,8 @@ fn hash_block(
     }
 }
 
-fn hash_func_shape(h: &mut Fnv, program: &Program, f: &crate::program::Function, mode: IdMode<'_>) {
-    mode.hash_name(h, &f.name);
+fn hash_func_shape(h: &mut Fnv, program: &Program, f: &crate::program::Function, mode: IdMode) {
+    h.str(&f.name);
     h.usize(f.params.len());
     for p in &f.params {
         h.byte(matches!(p.kind, crate::program::ParamKind::ByRef) as u8);
@@ -474,34 +414,10 @@ pub fn func_fingerprints(program: &Program) -> Vec<u64> {
     memo.into_iter().map(|m| m.unwrap_or(0)).collect()
 }
 
-/// Channel-count-parametric closure fingerprint of every function, indexed
-/// by `FuncId`.
-///
-/// Like [`func_fingerprints`], but each function is hashed with its own
-/// channel tag (the trailing digit run of its name, see [`channel_tag`])
-/// canonicalized out of every identifier in its whole call closure. Two
-/// generated functions that differ only in their channel index — `step3` in
-/// a 4-channel member and `step3` in a 46-channel member, or any pair whose
-/// bodies coincide up to the tag — share a parametric fingerprint, which is
-/// what lets converged seeds transfer across family members whose cell
-/// layouts (and thus store keys) differ. Functions without a tag hash
-/// exactly as in stable mode.
-pub fn parametric_fingerprints(program: &Program) -> Vec<u64> {
-    let n = program.funcs.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let tag = channel_tag(&program.funcs[i].name).to_string();
-        // The memo is per root: the root's tag applies to the whole closure.
-        let mut memo: Vec<Option<u64>> = vec![None; n];
-        out.push(closure_fp(program, i, IdMode::Parametric(&tag), &mut memo, 0));
-    }
-    out
-}
-
 fn closure_fp(
     program: &Program,
     idx: usize,
-    mode: IdMode<'_>,
+    mode: IdMode,
     memo: &mut Vec<Option<u64>>,
     depth: usize,
 ) -> u64 {
@@ -724,25 +640,7 @@ mod tests {
         assert_ne!(globals_fingerprint(&a), globals_fingerprint(&b));
     }
 
-    #[test]
-    fn channel_tag_and_canonicalization() {
-        assert_eq!(channel_tag("step12"), "12");
-        assert_eq!(channel_tag("step0"), "0");
-        assert_eq!(channel_tag("main"), "");
-        assert_eq!(channel_tag("7"), "7");
-
-        assert_eq!(canon_ident("hist_x12[3]", "12"), "hist_x#[3]");
-        assert_eq!(canon_ident("step12::k", "12"), "step#::k");
-        assert_eq!(canon_ident("tbl12[12]", "12"), "tbl#[12]", "array index stays");
-        assert_eq!(canon_ident("x1", "12"), "x1", "different run untouched");
-        assert_eq!(canon_ident("x120", "12"), "x120", "maximal run only");
-        assert_eq!(canon_ident("anything", ""), "anything");
-
-        assert_eq!(expand_ident("hist_x#[3]", "7"), "hist_x7[3]");
-        assert_eq!(expand_ident(&canon_ident("step12::x1", "12"), "12"), "step12::x1");
-    }
-
-    fn one_loop_program(var: &str, fname: &str, extra_stmt: bool) -> Program {
+    fn one_loop_program(var: &str, extra_stmt: bool) -> Program {
         let mut p = Program::new();
         let x = p.add_var(VarInfo::scalar(var, ScalarType::Int(IntType::INT), VarKind::Global));
         let mut body = vec![Stmt::new(StmtKind::While(
@@ -754,7 +652,7 @@ mod tests {
             body.push(Stmt::new(StmtKind::Assign(Lvalue::var(x), Expr::int(9))));
         }
         p.add_func(Function {
-            name: fname.into(),
+            name: "main".into(),
             params: vec![],
             ret: None,
             locals: vec![],
@@ -767,8 +665,8 @@ mod tests {
 
     #[test]
     fn loop_fingerprint_survives_edits_outside_the_loop() {
-        let a = one_loop_program("x", "main", false);
-        let b = one_loop_program("x", "main", true);
+        let a = one_loop_program("x", false);
+        let b = one_loop_program("x", true);
         let fa = loop_fingerprints(&a, FuncId(0), &func_fingerprints(&a));
         let fb = loop_fingerprints(&b, FuncId(0), &func_fingerprints(&b));
         assert_eq!(fa.len(), 1);
@@ -776,20 +674,8 @@ mod tests {
         // But the function's closure fingerprint misses, as it must.
         assert_ne!(func_fingerprints(&a)[0], func_fingerprints(&b)[0]);
         // And a loop over a different variable has a different fingerprint.
-        let c = one_loop_program("y", "main", false);
+        let c = one_loop_program("y", false);
         assert_ne!(fa, loop_fingerprints(&c, FuncId(0), &func_fingerprints(&c)));
-    }
-
-    #[test]
-    fn parametric_fingerprint_matches_across_channel_tags() {
-        let a = one_loop_program("flt3", "step3", false);
-        let b = one_loop_program("flt7", "step7", false);
-        let c = one_loop_program("other3", "step3", false);
-        assert_eq!(parametric_fingerprints(&a)[0], parametric_fingerprints(&b)[0]);
-        assert_ne!(parametric_fingerprints(&a)[0], parametric_fingerprints(&c)[0]);
-        // Untagged functions hash exactly as in stable mode.
-        let m = one_loop_program("x", "main", false);
-        assert_eq!(parametric_fingerprints(&m)[0], func_fingerprints(&m)[0]);
     }
 
     #[test]

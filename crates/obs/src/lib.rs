@@ -160,13 +160,10 @@ pub struct CacheCounters {
     pub loops_replayed: u64,
     /// Loop invariants recomputed by fixpoint iteration.
     pub loops_solved: u64,
-    /// Loops warm-started from a per-loop or cross-member seed (the
-    /// function's closure fingerprint missed, but a finer-grained stored
-    /// invariant verified as a post-fixpoint).
+    /// Loops warm-started from a per-loop seed (the function's closure
+    /// fingerprint missed, but the loop's stored invariant verified as a
+    /// post-fixpoint).
     pub loops_seeded: u64,
-    /// Loops warm-started specifically from a *cross-member* (portable,
-    /// channel-canonicalized) seed; a subset of `loops_seeded`.
-    pub seed_hits: u64,
     /// Cache files evicted to keep the store under its size bound.
     pub evictions: u64,
     /// Cache files rejected as corrupt or truncated (clean cold fallback).
@@ -191,7 +188,6 @@ impl CacheCounters {
         self.loops_replayed += o.loops_replayed;
         self.loops_solved += o.loops_solved;
         self.loops_seeded += o.loops_seeded;
-        self.seed_hits += o.seed_hits;
         self.evictions += o.evictions;
         self.corrupt_files += o.corrupt_files;
         self.bytes_read += o.bytes_read;
@@ -213,7 +209,6 @@ impl CacheCounters {
             loops_replayed: self.loops_replayed.saturating_sub(earlier.loops_replayed),
             loops_solved: self.loops_solved.saturating_sub(earlier.loops_solved),
             loops_seeded: self.loops_seeded.saturating_sub(earlier.loops_seeded),
-            seed_hits: self.seed_hits.saturating_sub(earlier.seed_hits),
             evictions: self.evictions.saturating_sub(earlier.evictions),
             corrupt_files: self.corrupt_files.saturating_sub(earlier.corrupt_files),
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
@@ -336,9 +331,10 @@ pub struct FleetCounters {
     pub store_gets: u64,
     /// `store_put` uploads accepted from remote workers.
     pub store_puts: u64,
-    /// Cross-member (portable) seed verifications across all jobs.
+    /// Always 0: cross-member seed transfer no longer exists. Kept only
+    /// because the `perfbench` crate still reads it.
     pub seed_hits: u64,
-    /// Per-loop and cross-member warm starts across all jobs.
+    /// Per-loop warm starts across all jobs.
     pub loops_seeded: u64,
     /// Per-worker breakdown, indexed by lane.
     pub per_worker: Vec<FleetWorkerCounters>,
@@ -770,7 +766,6 @@ impl Metrics {
             ("loops_replayed", Json::UInt(c.loops_replayed)),
             ("loops_solved", Json::UInt(c.loops_solved)),
             ("loops_seeded", Json::UInt(c.loops_seeded)),
-            ("seed_hits", Json::UInt(c.seed_hits)),
             ("evictions", Json::UInt(c.evictions)),
             ("corrupt_files", Json::UInt(c.corrupt_files)),
             ("bytes_read", Json::UInt(c.bytes_read)),
@@ -812,7 +807,6 @@ impl Metrics {
                 ("store_full_hits", Json::UInt(f.store_full_hits)),
                 ("store_gets", Json::UInt(f.store_gets)),
                 ("store_puts", Json::UInt(f.store_puts)),
-                ("seed_hits", Json::UInt(f.seed_hits)),
                 ("loops_seeded", Json::UInt(f.loops_seeded)),
                 (
                     "per_worker",
@@ -1078,14 +1072,13 @@ impl Recorder for Collector {
         if self.trace_on {
             self.push_trace(format!(
                 "cache: full_hits={} misses={} seeded={} replayed={} solved={} loop_seeded={} \
-                 seed_hits={} evictions={} corrupt={}",
+                 evictions={} corrupt={}",
                 c.full_hits,
                 c.misses,
                 c.seeded_functions,
                 c.loops_replayed,
                 c.loops_solved,
                 c.loops_seeded,
-                c.seed_hits,
                 c.evictions,
                 c.corrupt_files,
             ));
@@ -1132,7 +1125,7 @@ impl Recorder for Collector {
         if self.trace_on {
             self.push_trace(format!(
                 "fleet: workers={} jobs={} steals={} resent={} crashes={} store_hits={} \
-                 store_gets={} store_puts={} seed_hits={}",
+                 store_gets={} store_puts={}",
                 c.workers,
                 c.jobs,
                 c.steals,
@@ -1141,7 +1134,6 @@ impl Recorder for Collector {
                 c.store_full_hits,
                 c.store_gets,
                 c.store_puts,
-                c.seed_hits,
             ));
         }
     }

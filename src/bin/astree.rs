@@ -388,11 +388,14 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     if record {
         run.finish(&collector)?;
     }
-    if let Some(store) = &store {
-        let c = store.counters();
-        println!(
-            "cache: {} full hit(s), {} miss(es), {} seeded, {} invalidated, {} corrupt file(s)",
-            c.full_hits, c.misses, c.seeded_functions, c.invalidated_functions, c.corrupt_files
+    if store.is_some() {
+        // From the fleet's own counters: with worker processes the
+        // coordinator's store sees none of the jobs' lookups.
+        let hits = report.counters.store_full_hits;
+        eprintln!(
+            "cache: {hits} full hit(s), {} miss(es), {} loop(s) seeded",
+            (report.completed() as u64).saturating_sub(hits),
+            report.counters.loops_seeded
         );
     }
     if let Some(path) = &report_path {
@@ -432,8 +435,8 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
             if c.store_gets + c.store_puts > 0 {
                 println!(
                     "  wire sync: {} file(s) shipped to workers, {} imported back, \
-                     {} loop seed(s), {} cross-member hit(s)",
-                    c.store_gets, c.store_puts, c.loops_seeded, c.seed_hits
+                     {} loop seed(s)",
+                    c.store_gets, c.store_puts, c.loops_seeded
                 );
             }
         }
@@ -524,7 +527,7 @@ fn batch_report_json(report: &fleet::FleetReport) -> String {
     out.push_str(&format!(
         "  \"fleet\": {{\"processes\": {}, \"steals\": {}, \"resent\": {}, \"crashes\": {}, \
          \"timeouts\": {}, \"respawns\": {}, \"store_full_hits\": {}, \"store_gets\": {}, \
-         \"store_puts\": {}, \"loops_seeded\": {}, \"seed_hits\": {}}},\n",
+         \"store_puts\": {}, \"loops_seeded\": {}}},\n",
         c.processes,
         c.steals,
         c.resent,
@@ -534,8 +537,7 @@ fn batch_report_json(report: &fleet::FleetReport) -> String {
         c.store_full_hits,
         c.store_gets,
         c.store_puts,
-        c.loops_seeded,
-        c.seed_hits
+        c.loops_seeded
     ));
     let per_worker: Vec<String> = c
         .per_worker

@@ -4,6 +4,7 @@
 //! run.
 
 use astree::core::{AnalysisConfig, AnalysisResult, AnalysisSession, InvariantStore};
+use astree::fleet::{generated_jobs, FleetSession, JobStatus};
 use astree::frontend::Frontend;
 use astree::gen::{generate, GenConfig};
 use astree::ir::Program;
@@ -237,35 +238,31 @@ fn per_loop_seeds_survive_edits_outside_the_loop() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Converged seeds from a small family member warm the per-function solves of
-/// a larger member of the same family: the channel-count-parametric
-/// fingerprint matches across members, the channel tag is re-expanded on the
-/// way in, and the transplanted invariants are accepted by the same
-/// post-fixpoint check as native seeds.
+/// Nothing leaks between family members: a store filled by the 4- and
+/// 8-channel members gives a never-analyzed 12-channel member no full hit
+/// and no seed, and its report is byte-identical to a cold run without a
+/// store.
 #[test]
-fn cross_member_seeds_transfer_between_channel_counts() {
-    let dir = temp_dir("portable");
+fn unseen_family_member_matches_a_cold_run_without_a_store() {
+    let dir = temp_dir("no-leakage");
     let store = Arc::new(InvariantStore::open(&dir).expect("opens"));
-    let donor_src = generate(&GenConfig { channels: 4, seed: 9, bug: None });
-    let donor = Frontend::new().compile_str(&donor_src).expect("compiles");
-    run_cached(&donor, &store);
+    for channels in [4, 8] {
+        let src = generate(&GenConfig { channels, seed: 9, bug: None });
+        run_cached(&Frontend::new().compile_str(&src).expect("compiles"), &store);
+    }
 
-    let target_src = generate(&GenConfig { channels: 8, seed: 9, bug: None });
-    let target = Frontend::new().compile_str(&target_src).expect("compiles");
+    let member = generated_jobs(&[12], &[9]);
     let store = Arc::new(InvariantStore::open(&dir).expect("reopens"));
-    let (warm, _) = run_cached(&target, &store);
-    assert!(!warm.cache.full_hit, "different member must not replay verbatim");
-    assert!(
-        warm.stats.seed_hits > 0,
-        "4-channel seeds must warm the 8-channel member: {:?}",
-        warm.stats
-    );
-
-    // Soundness cross-check: transplanted seeds only ever tighten the work,
-    // never the answer.
-    let cold = AnalysisSession::builder(&target).build().run();
-    assert_eq!(warm.alarms, cold.alarms);
-    assert_eq!(warm.main_census, cold.main_census);
+    let warm = FleetSession::builder().jobs(member.clone()).cache(Arc::clone(&store)).run();
+    let cold = FleetSession::builder().jobs(member).run();
+    let (w, c) = (&warm.outcomes[0], &cold.outcomes[0]);
+    assert_eq!(w.status, JobStatus::Done, "{:?}", w.detail);
+    assert!(!w.cache_full_hit, "an unseen member must not replay");
+    assert_eq!(w.loops_seeded, 0, "no loop may be seeded from another member");
+    assert_eq!(store.counters().seeded_functions, 0, "{:?}", store.counters());
+    assert_eq!(w.alarm_lines, c.alarm_lines);
+    assert_eq!(w.main_census, c.main_census);
+    assert_eq!(warm.stable_report(), cold.stable_report());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

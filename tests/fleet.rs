@@ -226,3 +226,79 @@ fn remote_workers_over_a_unix_socket_agree_with_in_process() {
     worker.wait().ok();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `astree batch` with `TMPDIR` pointed at `tmp`; returns (stdout,
+/// stderr, success).
+fn run_batch_in(tmp: &std::path::Path, extra: &[&str]) -> (String, String, bool) {
+    let out = astree().arg("batch").args(extra).env("TMPDIR", tmp).output().expect("spawn");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (stdout, stderr, out.status.success())
+}
+
+#[test]
+fn batch_json_stdout_is_one_document_and_the_cache_summary_goes_to_stderr() {
+    let dir = temp_dir("json-stdout");
+    let cache = dir.join("store");
+    let args = [
+        "--gen",
+        "4",
+        "--channels",
+        "1,2",
+        "--workers",
+        "2",
+        "--cache",
+        cache.to_str().unwrap(),
+        "--cache-wire",
+        "--json",
+    ];
+    let (_, _, ok) = run_batch_in(&dir, &args);
+    assert!(ok, "cold pass succeeds");
+    let (stdout, stderr, ok) = run_batch_in(&dir, &args);
+    assert!(ok, "warm pass succeeds\n{stdout}\n{stderr}");
+    let j = Json::parse(&stdout).expect("stdout is exactly one JSON document");
+    let full_hits = j.get("fleet").and_then(|f| f.get("store_full_hits")).and_then(Json::as_u64);
+    assert_eq!(full_hits, Some(4), "warm pass replays every job\n{stdout}");
+    let summary = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: "))
+        .unwrap_or_else(|| panic!("cache summary on stderr\n{stderr}"));
+    let stderr_hits: u64 = summary
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("full-hit count in {summary:?}"));
+    assert_eq!(Some(stderr_hits), full_hits, "stderr summary agrees with the JSON: {summary}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wire_synced_workers_leave_no_store_copies_in_the_temp_directory() {
+    let dir = temp_dir("sync-leak");
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("create TMPDIR");
+    let cache = dir.join("store");
+    let (stdout, stderr, ok) = run_batch_in(
+        &tmp,
+        &[
+            "--gen",
+            "2",
+            "--channels",
+            "1",
+            "--workers",
+            "2",
+            "--cache",
+            cache.to_str().unwrap(),
+            "--cache-wire",
+        ],
+    );
+    assert!(ok, "wire-synced run succeeds\n{stdout}\n{stderr}");
+    let leaked: Vec<String> = std::fs::read_dir(&tmp)
+        .expect("list TMPDIR")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("astree-fleet-sync-"))
+        .collect();
+    assert!(leaked.is_empty(), "workers left store copies behind: {leaked:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
